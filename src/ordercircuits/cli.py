@@ -1,13 +1,16 @@
 """Command-line front-end for .circ files.
 
 Exit codes: 0 affirmative/success, 1 negative answer (e.g. no morphism
-exists), 2 usage or parse error, 3 search budget exceeded.
+exists), 2 usage or parse error, 3 search budget exceeded, 4 internal
+error (an unexpected exception, such as RecursionError on a very long
+circuit; never an answer).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from . import circuit as circuit_ops
 from . import congruence as cg
@@ -20,6 +23,7 @@ EXIT_OK = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _load(path):
@@ -267,6 +271,10 @@ def main(argv=None):
     except (ParseError, OrderCircuitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # any other failure must not read as an answer
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -54,26 +54,65 @@ def is_closed_outputs(G, beta):
     return closure_outputs(G, beta) == beta
 
 
+def _rows_and_cols(G):
+    """G as int masks: rows[i] has bit j and cols[j] has bit i iff
+    inputs[i] G outputs[j]."""
+    ia = {a: i for i, a in enumerate(G.inputs)}
+    ib = {b: j for j, b in enumerate(G.outputs)}
+    rows = [0] * len(G.inputs)
+    cols = [0] * len(G.outputs)
+    for a, b in G.pairs:
+        i, j = ia[a], ib[b]
+        rows[i] |= 1 << j
+        cols[j] |= 1 << i
+    return rows, cols
+
+
+def _ones(mask):
+    """Positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _common(masks, bits, full):
+    """The AND of masks[k] over the set bits k of bits; full if none."""
+    for k in _ones(bits):
+        full &= masks[k]
+    return full
+
+
+def _intersections(masks, full):
+    """Every intersection of some of the masks, full being the empty one."""
+    family = {full}
+    for m in masks:
+        family |= {s & m for s in family}
+    return family
+
+
+def _closed_extents(G, cols):
+    """The closed input sets as masks, by size and then member positions."""
+    family = _intersections(cols, (1 << len(G.inputs)) - 1)
+    return sorted(family, key=lambda m: (m.bit_count(), _ones(m)))
+
+
+def _inclusion_matrix(masks):
+    """Boolean matrix with [i, j] iff masks[i] is a subset of masks[j]."""
+    return np.array([[not a & ~b for b in masks] for a in masks], dtype=bool)
+
+
 def closed_input_sets(G):
-    """All closed subsets of A: intersections of the parent sets plus A.
+    """All closed subsets of A: intersections of the parent sets plus A,
+    smallest first, ties broken by the input positions of their members.
 
     Exponential in the worst case (at most 2^min(|A|,|B|) sets), which is
     fine at desk scale.
     """
-    family = {frozenset(G.inputs)}
-    frontier = {frozenset(G.inputs)}
-    extents = [G.parents(b) for b in G.outputs]
-    while frontier:
-        nxt = set()
-        for s in frontier:
-            for e in extents:
-                t = s & e
-                if t not in family:
-                    family.add(t)
-                    nxt.add(t)
-        frontier = nxt
-    pos = {a: i for i, a in enumerate(G.inputs)}
-    return sorted(family, key=lambda s: (len(s), sorted(pos[a] for a in s)))
+    _, cols = _rows_and_cols(G)
+    return [frozenset(G.inputs[i] for i in _ones(m)) for m in _closed_extents(G, cols)]
 
 
 @dataclass(frozen=True)
@@ -96,6 +135,23 @@ def concepts(G):
             for alpha in closed_input_sets(G)]
 
 
+def _extent_circuit(G, prefix):
+    """The closed input sets as a circuit ordered by inclusion, each gate
+    named prefix + its members; lambda(a) is the closure of {a} and mu(b)
+    the parent set of b.  Also returns the map from closed set to gate."""
+    rows, cols = _rows_and_cols(G)
+    full = (1 << len(G.inputs)) - 1
+    family = _closed_extents(G, cols)
+    members = [[G.inputs[i] for i in _ones(m)] for m in family]
+    names = [prefix + "+".join(ms) for ms in members]
+    by_mask = dict(zip(family, names))
+    lam = {a: by_mask[_common(cols, rows[i], full)] for i, a in enumerate(G.inputs)}
+    mu = {b: by_mask[cols[j]] for j, b in enumerate(G.outputs)}
+    circuit = Circuit(Poset(tuple(names), _inclusion_matrix(family)),
+                      G.inputs, G.outputs, lam, mu)
+    return circuit, {frozenset(ms): name for ms, name in zip(members, names)}
+
+
 def concept_lattice(G):
     """The concept lattice of G as a circuit.
 
@@ -103,17 +159,7 @@ def concept_lattice(G):
     smallest concept containing a in its extent, mu(b) the greatest
     concept containing b in its intent.
     """
-    cs = concepts(G)
-    names = [concept_name(G, c.extent) for c in cs]
-    n = len(cs)
-    matrix = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            matrix[i, j] = cs[i].extent <= cs[j].extent
-    by_extent = {c.extent: name for c, name in zip(cs, names)}
-    lam = {a: by_extent[closure_inputs(G, {a})] for a in G.inputs}
-    mu = {b: by_extent[common_parents(G, {b})] for b in G.outputs}
-    return Circuit(Poset(tuple(names), matrix), G.inputs, G.outputs, lam, mu)
+    return _extent_circuit(G, "c_")[0]
 
 
 def concept_of_gate(G, L, gate):
@@ -125,32 +171,18 @@ def _closed_family_circuit(G, side):
     """The closed-set circuit on the input side ('A') or the opposite
     order of closed output sets ('B'), with transported boundary maps."""
     if side == "A":
-        family = closed_input_sets(G)
-        pos = {a: i for i, a in enumerate(G.inputs)}
-        names = ["s_" + "+".join(sorted(s, key=lambda a: pos[a])) for s in family]
-        n = len(family)
-        matrix = np.zeros((n, n), dtype=bool)
-        for i in range(n):
-            for j in range(n):
-                matrix[i, j] = family[i] <= family[j]
-        by_set = dict(zip(family, names))
-        lam = {a: by_set[closure_inputs(G, {a})] for a in G.inputs}
-        mu = {b: by_set[common_parents(G, {b})] for b in G.outputs}
-    else:
-        seen = {common_children(G, alpha) for alpha in closed_input_sets(G)}
-        pos = {b: i for i, b in enumerate(G.outputs)}
-        family = sorted(seen, key=lambda s: (-len(s), sorted(pos[b] for b in s)))
-        names = ["t_" + "+".join(sorted(s, key=lambda b: pos[b])) for s in family]
-        n = len(family)
-        matrix = np.zeros((n, n), dtype=bool)
-        for i in range(n):
-            for j in range(n):
-                matrix[i, j] = family[i] >= family[j]  # opposite order
-        by_set = dict(zip(family, names))
-        lam = {a: by_set[common_children(G, {a})] for a in G.inputs}
-        mu = {b: by_set[closure_outputs(G, {b})] for b in G.outputs}
+        return _extent_circuit(G, "s_")
+    rows, cols = _rows_and_cols(G)
+    full = (1 << len(G.outputs)) - 1
+    family = sorted(_intersections(rows, full), key=lambda m: (-m.bit_count(), _ones(m)))
+    members = [[G.outputs[j] for j in _ones(m)] for m in family]
+    names = ["t_" + "+".join(ms) for ms in members]
+    by_mask = dict(zip(family, names))
+    lam = {a: by_mask[rows[i]] for i, a in enumerate(G.inputs)}
+    mu = {b: by_mask[_common(rows, cols[j], full)] for j, b in enumerate(G.outputs)}
+    matrix = _inclusion_matrix(family).T  # opposite order
     circuit = Circuit(Poset(tuple(names), matrix), G.inputs, G.outputs, lam, mu)
-    return circuit, by_set
+    return circuit, {frozenset(ms): name for ms, name in zip(members, names)}
 
 
 def _is_circuit_iso(f):

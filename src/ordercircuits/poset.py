@@ -3,6 +3,15 @@
 The order is stored as a dense boolean matrix over a canonical element
 sequence (input order), kept reflexively and transitively closed.  All
 values are immutable after construction and all operations are pure.
+
+Bounds and the lattice test run on a bitset view built from the matrix
+on first use and cached on the poset.  The view fixes a linear extension:
+the elements sorted by down-set size, ties broken by index.  Since p < q
+makes the down-set of p a proper subset of that of q, every element comes
+after all elements below it, so the least member of a set that has one is
+its lowest-ranked member, and the greatest is its highest-ranked one.
+Each element's up-set and down-set is a Python int whose bit r stands for
+the element of rank r.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ class Poset:
         matrix:   read-only boolean matrix; matrix[i, j] iff elements[i] <= elements[j].
     """
 
-    __slots__ = ("elements", "matrix", "_index")
+    __slots__ = ("elements", "matrix", "_index", "_bits")
 
     def __init__(self, elements, matrix):
         elements = tuple(elements)
@@ -43,6 +52,7 @@ class Poset:
         self.elements = elements
         self.matrix = matrix
         self._index = {e: i for i, e in enumerate(elements)}
+        self._bits = None
 
     def __len__(self):
         return len(self.elements)
@@ -89,6 +99,59 @@ class Poset:
     def strict_matrix(self):
         return self.matrix & ~np.eye(len(self), dtype=bool)
 
+    def _order_bits(self):
+        """The _OrderBits view of this order, built on first use."""
+        if self._bits is None:
+            self._bits = _OrderBits(self.matrix)
+        return self._bits
+
+
+def _row_ints(rows):
+    """Each row of a boolean matrix as an int with bit k = row[k]."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+class _OrderBits:
+    """Up-sets and down-sets as ints over ranks in a linear extension.
+
+    Attributes:
+        ext:     element indices sorted by (down-set size, index).
+        up:      up[i] has bit rank(j) set iff elements[i] <= elements[j].
+        down:    down[i] has bit rank(j) set iff elements[j] <= elements[i].
+        lattice: memoised is_lattice verdict, None until computed.
+    """
+
+    __slots__ = ("ext", "up", "down", "full", "lattice")
+
+    def __init__(self, matrix):
+        ext = np.argsort(matrix.sum(axis=0), kind="stable")
+        self.ext = ext.tolist()
+        self.up = _row_ints(matrix[:, ext])
+        self.down = _row_ints(matrix.T[:, ext])
+        self.full = (1 << len(ext)) - 1
+        self.lattice = None
+
+    def join(self, idx):
+        """Index of the join of the elements at indices idx, or None."""
+        ub = self.full
+        for i in idx:
+            ub &= self.up[i]
+        if not ub:
+            return None
+        c = self.ext[(ub & -ub).bit_length() - 1]
+        return None if ub & ~self.up[c] else c
+
+    def meet(self, idx):
+        """Index of the meet of the elements at indices idx, or None."""
+        lb = self.full
+        for i in idx:
+            lb &= self.down[i]
+        if not lb:
+            return None
+        c = self.ext[lb.bit_length() - 1]
+        return None if lb & ~self.down[c] else c
+
 
 def _transitive_closure(matrix):
     """Reflexive-transitive closure by boolean matrix powering."""
@@ -101,7 +164,7 @@ def _transitive_closure(matrix):
         closed = nxt
 
 
-def _find_cycle(elements, index, pairs, start, goal):
+def _find_cycle(elements, pairs, start, goal):
     """A generator path start -> ... -> goal, as element names (BFS)."""
     succ = {e: [] for e in elements}
     for a, b in pairs:
@@ -146,8 +209,8 @@ def poset_from_generators(elements, pairs):
     sym = closed & closed.T & ~np.eye(n, dtype=bool)
     if sym.any():
         i, j = map(int, np.argwhere(sym)[0])
-        forward = _find_cycle(elements, index, pairs, elements[i], elements[j])
-        back = _find_cycle(elements, index, pairs, elements[j], elements[i])
+        forward = _find_cycle(elements, pairs, elements[i], elements[j])
+        back = _find_cycle(elements, pairs, elements[j], elements[i])
         raise CycleError(forward + back[1:])
     return Poset(elements, closed)
 
@@ -175,28 +238,14 @@ def is_convex(P, S):
 
 def join_of(P, S):
     """Least upper bound of S in P, or None."""
-    idx = [P.index(s) for s in S]
-    ub = np.ones(len(P), dtype=bool)
-    for i in idx:
-        ub &= P.matrix[i, :]
-    candidates = np.flatnonzero(ub)
-    for c in candidates:
-        if all(P.matrix[c, d] for d in candidates):
-            return P.elements[c]
-    return None
+    c = P._order_bits().join([P.index(s) for s in S])
+    return None if c is None else P.elements[c]
 
 
 def meet_of(P, S):
     """Greatest lower bound of S in P, or None."""
-    idx = [P.index(s) for s in S]
-    lb = np.ones(len(P), dtype=bool)
-    for i in idx:
-        lb &= P.matrix[:, i]
-    candidates = np.flatnonzero(lb)
-    for c in candidates:
-        if all(P.matrix[d, c] for d in candidates):
-            return P.elements[c]
-    return None
+    c = P._order_bits().meet([P.index(s) for s in S])
+    return None if c is None else P.elements[c]
 
 
 def joins_and_meets(P, S):
@@ -212,11 +261,15 @@ def joins_and_meets(P, S):
 
 
 def is_lattice(P):
-    """True iff every pair of elements has a join and a meet."""
+    """True iff every pair of elements has a join and a meet.
+
+    The verdict is memoised on P, so asking again costs nothing.
+    """
     if len(P) == 0:
         raise EmptyPoset("is_lattice requires a nonempty poset")
-    for p in P.elements:
-        for q in P.elements:
-            if join_of(P, (p, q)) is None or meet_of(P, (p, q)) is None:
-                return False
-    return True
+    bits = P._order_bits()
+    if bits.lattice is None:
+        n = len(P)
+        bits.lattice = all(bits.join((i, j)) is not None and bits.meet((i, j)) is not None
+                           for i in range(n) for j in range(i + 1, n))
+    return bits.lattice

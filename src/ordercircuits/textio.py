@@ -17,6 +17,7 @@ listed in any partition block become singletons.
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass, field
 
@@ -382,14 +383,46 @@ def serialise_morphism(decl):
     return "\n".join(lines)
 
 
+def _circuit_refs(decl):
+    """Names of the circuits that decl refers to."""
+    if isinstance(decl, PartitionDecl):
+        return {decl.circuit_name}
+    if isinstance(decl, MorphismDecl):
+        return {decl.source_name, decl.target_name}
+    return set()
+
+
+def _declaration_order(doc):
+    """Declaration names with every declaration after the circuits it
+    refers to; among the declarations ready at each step the least name
+    comes first.  Only circuits are referred to, so there is no cycle."""
+    circuits = {name for name, decl in doc.decls.items()
+                if isinstance(decl, CircuitDecl)}
+    waiting = {name: _circuit_refs(decl) & circuits
+               for name, decl in doc.decls.items()}
+    ready = [name for name, refs in waiting.items() if not refs]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        name = heapq.heappop(ready)
+        order.append(name)
+        for later, refs in waiting.items():
+            if name in refs:
+                refs.discard(name)
+                if not refs:
+                    heapq.heappush(ready, later)
+    return order
+
+
 def serialise(doc):
-    """Canonical text: declarations sorted by name, ids in canonical order.
+    """Canonical text: each declaration after the ones it refers to, by
+    name where that leaves a choice, ids in canonical order.
 
     parse(serialise(doc)) reproduces doc, and a second serialise pass is
     byte-identical.
     """
     chunks = []
-    for name in sorted(doc.decls):
+    for name in _declaration_order(doc):
         decl = doc.decls[name]
         if isinstance(decl, CircuitDecl):
             chunks.append(serialise_circuit(name, decl.circuit))

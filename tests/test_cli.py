@@ -1,5 +1,5 @@
 import ordercircuits as oc
-from ordercircuits import textio
+from ordercircuits import cli, textio
 from ordercircuits.cli import main
 from conftest import DEMOS
 
@@ -149,3 +149,13 @@ def test_output_to_file(tmp_path, capsys):
 
 def test_usage_error(capsys):
     assert main(["no-such-command"]) == 2
+
+
+def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
+    def crash(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "cmd_validate", crash)
+    code, _, err = run(capsys, "validate", str(DEMOS / "fourgate.circ"))
+    assert code == cli.EXIT_INTERNAL == 4
+    assert "internal error: RecursionError" in err

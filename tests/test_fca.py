@@ -54,6 +54,24 @@ def test_closed_input_sets_against_brute_force():
         assert set(oc.closed_input_sets(G)) == brute_closed_input_sets(G)
 
 
+def test_concept_lattice_exhaustive_3x3():
+    for G in all_relations(("a1", "a2", "a3"), ("b1", "b2", "b3")):
+        L = oc.concept_lattice(G)
+        closed = sorted(brute_closed_input_sets(G),
+                        key=lambda s: (len(s), sorted(G.inputs.index(a) for a in s)))
+        names = [oc.concept_name(G, s) for s in closed]
+        assert L.gates.elements == tuple(names)
+        extent = dict(zip(names, closed))
+        for g in names:
+            for h in names:
+                assert L.gates.leq(g, h) == (extent[g] <= extent[h])
+        for a in G.inputs:
+            assert L.lam[a] == oc.concept_name(G, oc.closure_inputs(G, {a}))
+        for b in G.outputs:
+            assert L.mu[b] == oc.concept_name(G, oc.common_parents(G, {b}))
+        assert oc.is_lattice(L.gates)
+
+
 def test_concepts_and_names(fourbythree):
     cs = oc.concepts(fourbythree)
     assert len(cs) == 5

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 import ordercircuits as oc
@@ -114,11 +116,24 @@ def test_covers_regenerate_strict_order():
 
 
 def test_is_lattice_agrees_with_brute_force():
-    for P in all_posets(4):
-        assert oc.is_lattice(P) == brute_is_lattice(P)
+    for n in range(1, 6):
+        for P in all_posets(n):
+            expected = brute_is_lattice(P)
+            assert oc.is_lattice(P) == expected
+            assert oc.is_lattice(P) == expected  # memoised verdict
 
 
 def test_join_meet_agree_with_brute_force():
+    for n in range(6):
+        for P in all_posets(n):
+            for k in range(4):
+                for S in itertools.combinations(P.elements, k):
+                    j, m = brute_bounds(P, S)
+                    assert oc.join_of(P, S) == j
+                    assert oc.meet_of(P, S) == m
+            # the cached bitsets do not take part in equality or hashing
+            fresh = oc.Poset(P.elements, P.matrix)
+            assert P == fresh and hash(P) == hash(fresh)
     rng = rng_from_seed(9)
     for _ in range(20):
         P = random_poset(rng, 6)

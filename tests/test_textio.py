@@ -140,6 +140,24 @@ def test_serialise_orders_declarations():
     assert text.endswith("\n")
 
 
+def test_serialise_puts_references_after_their_circuit():
+    doc = textio.parse("""
+circuit Z { inputs: a; outputs: b; gates: p q; order: p < q;
+            lambda: a -> p; mu: b -> q; }
+partition A of Z { block: p q; }
+morphism B : Z -> Z { p => q; q => q; }
+""")
+    text = textio.serialise(doc)
+    names = [line.split()[1] for line in text.splitlines()
+             if line and not line.startswith((" ", "}"))]
+    assert names == ["Z", "A", "B"]
+    doc2 = textio.parse(text)
+    assert doc2.circuit("Z") == doc.circuit("Z")
+    assert doc2.partition("A").partition == doc.partition("A").partition
+    assert doc2.morphism("B") == doc.morphism("B")
+    assert textio.serialise(doc2) == text
+
+
 def test_dot_golden(fourgate):
     golden = (DATA / "fourgate_golden.dot").read_text()
     assert textio.to_dot(fourgate) == golden
